@@ -9,7 +9,7 @@ Commands
     Continue a checkpointed trajectory for more steps.
 ``sweep CONFIG``
     Expand a config with a ``[sweep]`` section into a run grid and
-    execute it (``--workers``/``--scheduler``), or list the grid with
+    execute it on ``--workers`` threads, or list the grid with
     ``--dry-run``; saves an ensemble ``.npz``.
 ``validate CONFIG``
     Parse + validate a config and print its normalized JSON (including
@@ -120,12 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="expand and run a config sweep ([sweep] section)")
     sweep.add_argument("config", help="path to a .toml or .json config with a [sweep] section")
     sweep.add_argument("--workers", type=int, default=None, help="override sweep.workers")
-    sweep.add_argument(
-        "--scheduler",
-        choices=("auto", "serial", "thread", "process"),
-        default=None,
-        help="override sweep.scheduler",
-    )
     sweep.add_argument(
         "--dry-run", action="store_true", help="list the expanded run grid and exit"
     )
@@ -449,20 +443,17 @@ def _cmd_resume(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.api.config import load_sweep_file
-    from repro.api.ensemble import expand_sweep, resolve_scheduler, run_ensemble
+    from repro.api.ensemble import expand_sweep, run_ensemble
 
     base, sweep = load_sweep_file(args.config)
     variants = expand_sweep(base, sweep)
     workers = sweep.workers if args.workers is None else args.workers
-    scheduler = resolve_scheduler(
-        sweep.scheduler if args.scheduler is None else args.scheduler, workers
-    )
 
     if args.dry_run or not args.quiet:
         print(
             f"sweep: {len(variants)} runs "
             f"({' x '.join(f'{k}[{len(v)}]' for k, v in sweep.axes.items()) or 'base only'}, "
-            f"mode {sweep.mode}) | scheduler {scheduler}, workers {workers}"
+            f"mode {sweep.mode}) | workers {workers}"
         )
     if args.dry_run:
         print(f"{'run':>4}  overrides")
@@ -474,10 +465,7 @@ def _cmd_sweep(args) -> int:
     if store and not args.quiet:
         print(f"store: {store} (completed variants restore instead of re-running)")
     progress = None if args.quiet else print
-    result = run_ensemble(
-        base, sweep, workers=workers, scheduler=scheduler, progress=progress,
-        store=store,
-    )
+    result = run_ensemble(base, sweep, workers=workers, progress=progress, store=store)
     print(result.summary())
     output = args.output if args.output is not None else sweep.output
     if output:

@@ -339,11 +339,13 @@ class SweepConfig(_Section):
     (default) takes the cartesian product of all axes; ``"zip"`` pairs
     them element-wise (all axes must then have equal length).
 
-    ``scheduler`` picks how :func:`repro.api.ensemble.run_ensemble`
-    executes the expanded runs: ``"serial"``, ``"thread"``, or
-    ``"process"``; the default ``"auto"`` selects ``"process"`` whenever
-    ``workers > 1``.  ``output`` is the default ``EnsembleResult`` npz
-    path used by ``repro sweep`` when ``--output`` is not given.
+    :func:`repro.api.ensemble.run_ensemble` executes the expanded runs
+    on one thread pool of ``workers`` threads.  ``scheduler`` selects
+    nothing: it is still parsed, and its legacy values (``"auto"``,
+    ``"serial"``, ``"thread"``, ``"process"``) still accepted, so older
+    sweep files and saved ensemble ``.npz`` metadata keep loading.
+    ``output`` is the default ``EnsembleResult`` npz path used by
+    ``repro sweep`` when ``--output`` is not given.
 
     ``store`` (or ``repro sweep --store DIR``) points at a
     :class:`repro.store.ResultStore` study directory: finished runs are

@@ -11,10 +11,9 @@ so the facade gets a first-class multi-run layer:
 
 :func:`expand_sweep` crosses the :class:`~repro.api.config.SweepConfig`
 axes into concrete :class:`~repro.api.config.SimulationConfig` variants;
-:func:`run_ensemble` executes them on a pluggable scheduler (serial,
-thread pool, or ``ProcessPoolExecutor``) while converging each distinct
-(system, scf) ground state exactly once and sharing it across variants
-(the in-memory analogue of :meth:`Simulation.derive`); and
+:func:`run_ensemble` executes them on one thread pool while converging
+each distinct (system, scf, backend) ground state exactly once and
+sharing it across variants (via :meth:`Simulation.derive`); and
 :class:`EnsembleResult` collects per-run observables, status and errors
 with ``save_npz``/``load_npz`` and spectrum aggregation built in.
 
@@ -27,13 +26,7 @@ import itertools
 import json
 import time
 import traceback
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -52,8 +45,6 @@ from repro.utils.io import atomic_savez
 from repro.backend import FFTCounters
 from repro.observables.spectrum import absorption_spectrum
 from repro.parallel.ledger import CostLedger
-from repro.rt.propagator import TDState
-from repro.scf.groundstate import GroundState
 
 
 class FFTCoverage(NamedTuple):
@@ -69,9 +60,6 @@ class FFTCoverage(NamedTuple):
 
 #: schema version stamped into ensemble ``.npz`` files
 ENSEMBLE_VERSION = 1
-
-#: schedulers accepted by :func:`run_ensemble` (``auto`` resolves by workers)
-SCHEDULERS = ("serial", "thread", "process")
 
 
 # --------------------------------------------------------------------------
@@ -162,10 +150,10 @@ class RunRecord:
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     #: this run's own *propagation* FFT tally — the shared group SCF runs
     #: before any per-run snapshot and is attributed to no run.  None only
-    #: when the variant's backend is uncounted: every scheduler reports an
-    #: exact tally, because each variant computes through its own
+    #: when the variant's backend is uncounted: concurrent runs each report
+    #: an exact tally, because each variant computes through its own
     #: :class:`~repro.backend.CountingBackend` view (private counters,
-    #:  shared engine) — including concurrent thread-scheduled runs.
+    #: shared engine).
     fft: Optional[FFTCounters] = None
     #: communication accounting (``ParallelRunInfo.to_dict()`` form) when
     #: the variant ran under an active ``[parallel]`` section, else None
@@ -482,149 +470,32 @@ class EnsembleResult:
 # --------------------------------------------------------------------------
 
 
-def _gs_key(config: SimulationConfig) -> str:
-    """Variants sharing (system, scf, backend-engine) share one SCF solve.
+def _execute_sim(sim: Simulation) -> SimulationResult:
+    """Run one variant prepared by :func:`_derive_from` (the pool task body).
 
-    Sections hold free-form parameter dicts and are not hashable, so the
-    grouping key is their canonical (sorted) JSON.  The backend *name* is
-    part of the key so a backend-override axis converges each engine from
-    scratch — full-stack parity, no engine state crossing variant
-    boundaries.  Tuning knobs of the same engine (``fft_workers``,
-    ``count_ffts``) are deliberately excluded: the converged ground state
-    is plain arrays, and re-solving an identical SCF per thread-count
-    would dominate a threading sweep.  The ``parallel`` section is also
-    excluded: the distributed exchange is bit-identical to serial at
-    every rank count and pattern (tested), so a pattern/rank sweep shares
-    one SCF and measures only what it should — the communication ledgers.
-
-    The grouping rule itself lives in :func:`repro.store.group_key` —
-    the result store addresses its deduplicated ground-state blobs by
-    the same key, so in-memory sharing and on-disk sharing can never
-    disagree about what "the same SCF" means.
-    """
-    from repro.store.common import group_key
-
-    return group_key(config)
-
-
-def _execute_sim(
-    sim: Simulation,
-) -> Tuple[Dict[str, np.ndarray], Optional[FFTCounters], Optional[Dict[str, Any]], SimulationResult, float]:
-    """Run one prepared simulation (serial/thread worker body).
-
-    Times itself so pooled runs report true compute duration, not queue
-    wait + collection order.  The FFT tally comes off the run's own
-    counter scope: every derived variant was re-pointed at a private
+    The FFT tally comes off the run's own counter scope: every derived
+    variant was re-pointed at a private
     :class:`~repro.backend.CountingBackend` view by
-    :meth:`Simulation.isolate_counters`, so concurrent thread-scheduled
-    runs each report an exact per-run tally (they share the engine, not
-    the counters).
+    :meth:`Simulation.isolate_counters`, so concurrent runs each report
+    an exact per-run tally (they share the engine, not the counters).
+    """
+    return sim.run()
+
+
+def _timed_run(
+    sim: Simulation,
+) -> Tuple[Optional[SimulationResult], Optional[Exception], float]:
+    """``(result, exception, seconds)`` of one variant, timed on the worker.
+
+    Pooled runs thus report their true compute duration, not queue wait
+    plus collection order — a run that raises included.
     """
     started = time.perf_counter()
-    result = sim.run()
-    parallel = result.parallel.to_dict() if result.parallel is not None else None
-    return result.observables(), result.fft, parallel, result, time.perf_counter() - started
-
-
-def _execute_variant_json(
-    config_json: str, ground_state: Optional[GroundState]
-) -> Tuple[
-    Dict[str, np.ndarray],
-    Optional[FFTCounters],
-    Optional[Dict[str, Any]],
-    Tuple[np.ndarray, np.ndarray, float],
-    float,
-]:
-    """Process-pool entry: configs travel as JSON, arrays come back.
-
-    The FFT tally and communication accounting are snapshotted *in the
-    worker* and pickled back with the observables — previously they were
-    recorded into the worker's process-global state and discarded with
-    the process.  The final state travels back as a plain
-    ``(phi, sigma, time)`` tuple so the parent can persist it to a
-    result store (the store is single-writer: only the parent appends).
-    """
-    started = time.perf_counter()
-    sim = Simulation(
-        SimulationConfig.from_json(config_json), ground_state=ground_state
-    )
-    result = sim.run()
-    arrays = result.observables()
-    # result.fft is the propagation-window tally (same window the other
-    # schedulers report), not the worker-cumulative count — the two differ
-    # by the Hamiltonian-construction transforms
-    parallel = result.parallel.to_dict() if result.parallel is not None else None
-    final = result.final_state
-    state = (np.asarray(final.phi), np.asarray(final.sigma), float(final.time))
-    return arrays, result.fft, parallel, state, time.perf_counter() - started
-
-
-def _converge_json(config_json: str) -> GroundState:
-    """Pool entry for one group's SCF solve (config as JSON)."""
-    return Simulation(SimulationConfig.from_json(config_json)).ground_state()
-
-
-def _group_configs(variants: Sequence[SweepVariant]) -> Dict[str, SimulationConfig]:
-    """First-seen config per distinct (system, scf) group, in grid order."""
-    groups: Dict[str, SimulationConfig] = {}
-    for v in variants:
-        groups.setdefault(_gs_key(v.config), v.config)
-    return groups
-
-
-def _announce_group(
-    progress: Optional[Callable[[str], None]], number: int, config: SimulationConfig
-) -> None:
-    if progress is not None:
-        progress(
-            f"converging ground state {number} ({config.system.cell}, "
-            f"{config.system.functional}, ecut {config.system.ecut:g})"
-        )
-
-
-def _stored_ground_state(store, config: SimulationConfig) -> Optional[GroundState]:
-    """The store's SCF blob for this config's group, if one is cached."""
-    if store is None:
-        return None
-    return store.load_ground_state(config)
-
-
-def _converge_shared_ground_states(
-    variants: Sequence[SweepVariant],
-    progress: Optional[Callable[[str], None]],
-    store=None,
-) -> Dict[str, Any]:
-    """One prototype :class:`Simulation` (one SCF) per distinct
-    (system, scf) pair; every variant derives from its group's prototype,
-    sharing the converged ground state and cell/grid caches.
-
-    With a ``store``, a group whose SCF blob is already cached is
-    restored instead of re-converged (the resume path), and freshly
-    converged ground states are written back so the next resume skips
-    them too.
-
-    A group whose SCF raises maps to the exception instead of a
-    prototype — its variants are marked failed without aborting the
-    other groups."""
-    shared: Dict[str, Any] = {}
-    for i, (key, config) in enumerate(_group_configs(variants).items()):
-        cached = _stored_ground_state(store, config)
-        if cached is not None:
-            if progress is not None:
-                progress(f"ground state {i + 1} restored from store")
-            shared[key] = Simulation(config, ground_state=cached)
-            continue
-        _announce_group(progress, i + 1, config)
-        proto = Simulation(config)
-        try:
-            proto.ground_state()
-        except Exception as exc:  # noqa: BLE001 — reported per affected run
-            shared[key] = exc
-            continue
-        if store is not None:
-            store.put_ground_state(config, proto.ground_state())
-        shared[key] = proto
-    return shared
+    try:
+        result = _execute_sim(sim)
+    except Exception as exc:  # noqa: BLE001 — per-run isolation is the point
+        return None, exc, time.perf_counter() - started
+    return result, None, time.perf_counter() - started
 
 
 def _derive_from(proto: Simulation, config: SimulationConfig) -> Simulation:
@@ -632,13 +503,13 @@ def _derive_from(proto: Simulation, config: SimulationConfig) -> Simulation:
 
     The derived simulation is re-scoped onto its own FFT-counter view
     (:meth:`Simulation.isolate_counters`): same engine and plan cache as
-    the prototype, private counters — so every scheduler (including
-    concurrent threads) reports an exact per-run tally.
+    the prototype, private counters — so concurrent runs each report an
+    exact per-run tally.
     """
     # materialize the prototype's grid (and with it the engine) before
-    # deriving: a pool-converged prototype never computed in this
-    # process, and an unbuilt backend would leave each variant creating
-    # its own engine/plan cache/G-vector setup instead of sharing one
+    # deriving: a prototype restored from the store never computed, and
+    # an unbuilt backend would leave each variant creating its own
+    # engine/plan cache/G-vector setup instead of sharing one
     proto.grid
     return proto.derive(
         system=config.system,
@@ -650,22 +521,10 @@ def _derive_from(proto: Simulation, config: SimulationConfig) -> Simulation:
     ).isolate_counters()
 
 
-def resolve_scheduler(scheduler: str, workers: int) -> str:
-    """Map ``"auto"`` to a concrete scheduler and validate the name."""
-    if scheduler == "auto":
-        return "process" if workers > 1 else "serial"
-    if scheduler not in SCHEDULERS:
-        raise ConfigError(
-            f"unknown scheduler {scheduler!r}; valid: auto, {', '.join(SCHEDULERS)}"
-        )
-    return scheduler
-
-
 def run_ensemble(
     base: SimulationConfig,
     sweep: SweepConfig,
     workers: Optional[int] = None,
-    scheduler: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
     store=None,
 ) -> EnsembleResult:
@@ -676,8 +535,8 @@ def run_ensemble(
     base:
         The common :class:`SimulationConfig` all variants derive from.
     sweep:
-        Axes + execution policy; ``workers``/``scheduler`` arguments
-        override the corresponding config fields when given.
+        Axes + execution policy; a ``workers`` argument overrides
+        ``sweep.workers`` when given.
     progress:
         Optional callable receiving one human-readable line per event
         (ground-state solves, run completions) — the CLI passes ``print``.
@@ -689,24 +548,24 @@ def run_ensemble(
         is restored instead of recomputed (its SCF too — ground-state
         blobs are cached per shared-SCF group), while interrupted
         (``running``) and failed (``error``) runs are re-queued.  All
-        store writes happen in the parent process, so any scheduler is
-        safe.
+        store writes happen in the calling thread.
 
-    Ground states are converged once per distinct (system, scf) section
-    pair — serially in the parent for the serial scheduler, on the pool
-    for thread/process schedulers — and shared across the group's
-    variants: by reference on threads, by pickling per task on
-    processes.  That per-task pickling ships the orbital block to the
-    worker for every run; for very large systems with many variants per
-    group, ``scheduler="thread"`` avoids the copy entirely (BLAS/FFT
-    release the GIL).  Per-run failures (including a group's SCF
-    failing) are captured in the returned :class:`EnsembleResult` rather
-    than aborting the sweep.
+    Everything runs on one ``ThreadPoolExecutor(max_workers=workers)``
+    (BLAS and FFTs release the GIL).  Each distinct (system, scf,
+    backend) group gets one prototype :class:`Simulation` — restored
+    from the store's ground-state blob when one exists, else converged
+    on the pool, so several groups' SCFs run side by side — and its
+    variants derive from that prototype, sharing the ground state and
+    grid by reference.  At ``workers=1`` the runs are bit-identical to
+    standalone :meth:`Simulation.run` calls.  Per-run failures
+    (including a group's SCF failing) are captured in the returned
+    :class:`EnsembleResult` rather than aborting the sweep.
     """
+    from repro.store.common import group_key
+
     n_workers = sweep.workers if workers is None else int(workers)
     if n_workers < 1:
         raise ConfigError(f"workers must be >= 1, got {n_workers}")
-    mode = resolve_scheduler(sweep.scheduler if scheduler is None else scheduler, n_workers)
 
     variants = expand_sweep(base, sweep)
     records = [RunRecord(v.index, v.overrides, v.config) for v in variants]
@@ -719,35 +578,37 @@ def run_ensemble(
         store_obj = ResultStore.ensure(store_like)
 
     # resume: restore variants whose exact config already completed
-    restored: set = set()
-    if store_obj is not None:
-        for v, record in zip(variants, records):
-            done = store_obj.find_completed(v.config)
-            if done is None:
-                continue
-            record.status = "ok"
-            record.arrays = store_obj.load_arrays(done.run_id)
-            record.fft = FFTCounters.from_dict(done.fft) if done.fft else None
-            record.parallel = done.parallel
-            record.elapsed = done.elapsed
-            restored.add(record.index)
-            if progress is not None:
-                progress(
-                    f"run {record.index} [{record.label()}]: restored from "
-                    f"store ({done.run_id})"
-                )
-    pending = [v for v in variants if v.index not in restored]
+    pending: List[Tuple[SweepVariant, RunRecord]] = []
+    for v, record in zip(variants, records):
+        done = store_obj.find_completed(v.config) if store_obj is not None else None
+        if done is None:
+            pending.append((v, record))
+            continue
+        record.status = "ok"
+        record.arrays = store_obj.load_arrays(done.run_id)
+        record.fft = FFTCounters.from_dict(done.fft) if done.fft else None
+        record.parallel = done.parallel
+        record.elapsed = done.elapsed
+        if progress is not None:
+            progress(
+                f"run {record.index} [{record.label()}]: restored from "
+                f"store ({done.run_id})"
+            )
 
     def _finish(
-        record: RunRecord, elapsed: float, arrays=None, fft=None, parallel=None,
-        result=None, state=None, exc=None,
-    ):
+        record: RunRecord,
+        result: Optional[SimulationResult],
+        exc: Optional[Exception],
+        elapsed: float,
+    ) -> None:
         record.elapsed = elapsed
         if exc is None:
             record.status = "ok"
-            record.arrays = arrays
-            record.fft = fft
-            record.parallel = parallel
+            record.arrays = result.observables()
+            record.fft = result.fft
+            record.parallel = (
+                result.parallel.to_dict() if result.parallel is not None else None
+            )
             record.result = result
         else:
             record.status = "error"
@@ -759,14 +620,13 @@ def run_ensemble(
         # already durable and the next --store invocation restores it
         if store_obj is not None:
             if exc is None:
-                final_state = result.final_state if result is not None else state
                 store_obj.add_run(
                     record.config,
-                    arrays,
-                    final_state,
+                    record.arrays,
+                    result.final_state,
                     overrides=record.overrides,
-                    fft=fft,
-                    parallel=parallel,
+                    fft=record.fft,
+                    parallel=record.parallel,
                     elapsed=elapsed,
                 )
             else:
@@ -780,96 +640,51 @@ def run_ensemble(
                 f"({record.elapsed:.2f} s)"
             )
 
-    if mode == "serial":
-        shared = _converge_shared_ground_states(pending, progress, store=store_obj)
-        for v, record in zip(variants, records):
-            if record.index in restored:
-                continue
-            started = time.perf_counter()
-            proto = shared[_gs_key(v.config)]
-            if isinstance(proto, Exception):
-                _finish(record, time.perf_counter() - started, exc=proto)
-                continue
-            if store_obj is not None:
-                store_obj.begin_run(v.config, overrides=v.overrides)
-            try:
-                arrays, fft, parallel, result, elapsed = _execute_sim(
-                    _derive_from(proto, v.config)
-                )
-            except Exception as exc:  # noqa: BLE001 — per-run isolation is the point
-                _finish(record, time.perf_counter() - started, exc=exc)
-            else:
-                _finish(
-                    record, elapsed, arrays=arrays, fft=fft, parallel=parallel,
-                    result=result,
-                )
-        return EnsembleResult(base_config=base, sweep=sweep, runs=records)
+    groups: Dict[str, SimulationConfig] = {}
+    for v, _ in pending:
+        groups.setdefault(group_key(v.config), v.config)
 
-    pool: Executor
-    if mode == "thread":
-        pool = ThreadPoolExecutor(max_workers=n_workers)
-    else:
-        pool = ProcessPoolExecutor(max_workers=n_workers)
-    with pool:
-        # group SCF solves run on the pool too — with several (system, scf)
-        # groups the dominant cost parallelizes, not just the propagations;
-        # groups whose SCF blob the store already holds skip the pool
-        groups = _group_configs(pending)
-        gs_futures = {}
-        shared: Dict[str, Any] = {}
+    pool = ThreadPoolExecutor(max_workers=n_workers)
+    try:
+        protos: Dict[str, Simulation] = {}
+        solves: Dict[str, Future] = {}
         for i, (key, config) in enumerate(groups.items()):
-            cached = _stored_ground_state(store_obj, config)
+            cached = store_obj.load_ground_state(config) if store_obj is not None else None
+            protos[key] = Simulation(config, ground_state=cached)
             if cached is not None:
                 if progress is not None:
                     progress(f"ground state {i + 1} restored from store")
-                shared[key] = Simulation(config, ground_state=cached)
                 continue
-            _announce_group(progress, i + 1, config)
-            gs_futures[key] = pool.submit(_converge_json, config.to_json())
-        for key, fut in gs_futures.items():
+            if progress is not None:
+                progress(
+                    f"converging ground state {i + 1} ({config.system.cell}, "
+                    f"{config.system.functional}, ecut {config.system.ecut:g})"
+                )
+            solves[key] = pool.submit(protos[key].ground_state)
+        failed: Dict[str, Exception] = {}
+        for key, fut in solves.items():
             try:
                 gs = fut.result()
             except Exception as exc:  # noqa: BLE001 — reported per affected run
-                shared[key] = exc
+                failed[key] = exc
                 continue
             if store_obj is not None:
                 store_obj.put_ground_state(groups[key], gs)
-            shared[key] = Simulation(groups[key], ground_state=gs)
 
         futures: Dict[Future, RunRecord] = {}
-        for v, record in zip(variants, records):
-            if record.index in restored:
-                continue
-            proto = shared[_gs_key(v.config)]
-            if isinstance(proto, Exception):
-                _finish(record, 0.0, exc=proto)
+        for v, record in pending:
+            key = group_key(v.config)
+            if key in failed:
+                _finish(record, None, failed[key], 0.0)
                 continue
             if store_obj is not None:
                 store_obj.begin_run(v.config, overrides=v.overrides)
-            if mode == "thread":
-                fut = pool.submit(_execute_sim, _derive_from(proto, v.config))
-            else:
-                fut = pool.submit(_execute_variant_json, v.config.to_json(), proto._gs)
-            futures[fut] = record
+            futures[pool.submit(_timed_run, _derive_from(protos[key], v.config))] = record
         for fut in as_completed(futures):
-            record = futures[fut]
-            try:
-                out = fut.result()
-            except Exception as exc:  # noqa: BLE001
-                _finish(record, 0.0, exc=exc)
-            else:
-                if mode == "thread":
-                    arrays, fft, parallel, result, elapsed = out
-                    state = None
-                else:
-                    arrays, fft, parallel, state_t, elapsed = out
-                    result = None
-                    state = TDState(
-                        phi=state_t[0], sigma=state_t[1], time=state_t[2]
-                    )
-                _finish(
-                    record, elapsed, arrays=arrays, fft=fft, parallel=parallel,
-                    result=result, state=state,
-                )
+            _finish(futures[fut], *fut.result())
+    finally:
+        # an aborted sweep (progress callback raising, Ctrl-C) drops the
+        # queued runs instead of computing results nobody collects
+        pool.shutdown(cancel_futures=True)
 
     return EnsembleResult(base_config=base, sweep=sweep, runs=records)

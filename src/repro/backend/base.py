@@ -95,7 +95,7 @@ class FFTCounters:
         for shape, n in other.by_shape.items():
             self.by_shape[shape] = self.by_shape.get(shape, 0) + n
 
-    # -- JSON-safe IO (ensemble .npz metadata, process-pool returns) ---------
+    # -- JSON-safe IO (ensemble .npz metadata, result-store rows) ------------
     def to_dict(self) -> Dict[str, object]:
         """Plain-JSON form; grid shapes become ``"n1xn2xn3"`` keys."""
         return {
@@ -179,7 +179,7 @@ class Backend(ABC):
         unspecified.  Meant for repeated-transform workspaces (e.g. the
         FFT strategy benchmark's in-place ``out=`` buffer); package hot
         paths stay allocation-based because grids — and therefore
-        backends — are shared by the ensemble thread scheduler.
+        backends — are shared by the ensemble's pool threads.
         """
         key = (tuple(int(n) for n in shape), np.dtype(dtype).str)
         buf = self._scratch.get(key)

@@ -17,7 +17,6 @@ weight ``dV = volume / ngrid`` so ``<phi|phi> = dV * sum |phi|^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -68,11 +67,6 @@ class PlaneWaveGrid:
         self.gvec_dense = (
             self.gvec if self.dual == 1 else GVectors(self.cell, dshape, 4.0 * self.ecut)
         )
-
-    @property
-    def engine(self) -> Backend:
-        """Deprecated alias for :attr:`backend` (pre-backend-API name)."""
-        return self.backend
 
     # -- sizes ---------------------------------------------------------------
     @property

@@ -7,8 +7,8 @@ physics module consults ``time.time()`` or global random state.  Inside
 the physics packages this rule bans:
 
 - ``time.time()`` / ``time.time_ns()`` (wall clock in numerics;
-  instrumentation belongs in ``repro.utils.timing``, metadata
-  timestamps in the store layer);
+  instrumentation uses the monotonic ``time.perf_counter``, metadata
+  timestamps belong in the store layer);
 - the stdlib ``random`` module entirely (unseeded global state);
 - NumPy's legacy global-state API (``np.random.rand``, ``np.random.seed``,
   ...) and ``np.random.default_rng()`` *without an explicit seed* — the
@@ -34,7 +34,6 @@ RULE = "determinism"
 #: the bitwise-reproducible numerics packages this rule polices
 PHYSICS_DIRS = (
     "backend/",
-    "fft/",
     "grid/",
     "hamiltonian/",
     "hartree/",
@@ -103,7 +102,7 @@ def check(module: SourceModule, imports: ImportMap) -> Iterable[Finding]:
                     node, RULE,
                     f"wall clock ({dotted}) in physics code breaks bitwise "
                     f"reproducibility",
-                    hint="instrument with repro.utils.timing instead",
+                    hint="instrument with time.perf_counter instead",
                 )
             elif dotted == "numpy.random.default_rng":
                 if _unseeded_default_rng(node):

@@ -1,13 +1,12 @@
 """``pickle-safety`` — nothing unpicklable crosses the spawn boundary.
 
-The serve worker pool and the ensemble process scheduler ship work to
-**spawned** processes: every ``Process(args=...)`` tuple and every
-``executor.submit(...)`` argument is pickled.  SQLite connections,
-locks, and open file handles don't pickle — and worse, the failure is
-deferred (the parent raises at submit time at best, the child crashes
-on first use at worst).  The established discipline is to pass *paths
-and plain data* (``store_root``, config JSON) and let each process open
-its own handles.
+The serve worker pool ships work to **spawned** processes: every
+``Process(args=...)`` tuple and every ``executor.submit(...)`` argument
+is pickled.  SQLite connections, locks, and open file handles don't
+pickle — and worse, the failure is deferred (the parent raises at
+submit time at best, the child crashes on first use at worst).  The
+established discipline is to pass *paths and plain data*
+(``store_root``, config JSON) and let each process open its own handles.
 
 In the boundary modules (``serve/pool.py``, ``serve/worker.py``,
 ``api/ensemble.py``) this rule flags known-unpicklable constructors —
@@ -19,6 +18,10 @@ In the boundary modules (``serve/pool.py``, ``serve/worker.py``,
   ``submit``), or
 - passed (directly, or via a local variable assigned from one) into
   ``Process(...)`` args or an executor ``submit``/``map`` call.
+
+The ensemble runs its sweeps on a thread pool, where nothing is
+pickled; ``api/ensemble.py`` stays in scope so that a process pool
+reintroduced there is policed from its first submit.
 """
 
 from __future__ import annotations

@@ -56,10 +56,21 @@ def run_id_for(config) -> str:
 def group_key(config) -> str:
     """Ground-state sharing key: canonical (system, scf, backend-engine).
 
-    The same grouping rule as the ensemble engine's ``_gs_key`` (which
-    now delegates here): variants that differ only in field/propagation/
-    parallel sections — or in backend tuning knobs — share one converged
-    SCF, so a store keeps exactly one ground-state blob per group.
+    Variants that differ only in field/propagation/parallel sections —
+    or in backend tuning knobs — share one converged SCF: the ensemble
+    engine converges one per key, and a store keeps exactly one
+    ground-state blob per key.  Sections hold free-form parameter dicts
+    and are not hashable, so the key is their canonical (sorted) JSON.
+
+    The backend *name* is part of the key so a backend-override axis
+    converges each engine from scratch — full-stack parity, no engine
+    state crossing variant boundaries.  Tuning knobs of the same engine
+    (``fft_workers``, ``count_ffts``) are excluded: the converged ground
+    state is plain arrays, and re-solving an identical SCF per thread
+    count would dominate a threading sweep.  The ``parallel`` section is
+    excluded too: the distributed exchange is bit-identical to serial at
+    every rank count and pattern (tested), so a pattern/rank sweep shares
+    one SCF and measures only its communication ledgers.
     """
     return canonical_json(
         {

@@ -1,10 +1,10 @@
-"""Ensemble sweep engine: expansion, schedulers, collection, CLI.
+"""Ensemble sweep engine: expansion, execution, collection, CLI.
 
 The execution tests run the shipped ``examples/configs/sweep_absorption``
-sweep once serially (module fixture) and compare every other path —
-process pool via the real CLI, thread pool via the API — against it:
-same machine, same ground state, the trajectories must agree to
-round-off regardless of scheduler (the acceptance bar for the engine).
+sweep once on one worker (module fixture) and compare the two-worker
+runs — via the real CLI and via the API — against it: same machine,
+same ground state, the trajectories must agree to round-off regardless
+of the worker count (the acceptance bar for the engine).
 """
 
 import json
@@ -25,7 +25,6 @@ from repro.api import (
     run_ensemble,
 )
 from repro.api.cli import main as cli_main
-from repro.api.ensemble import resolve_scheduler
 
 SWEEP_TOML = Path(__file__).parent.parent / "examples" / "configs" / "sweep_absorption.toml"
 
@@ -66,6 +65,12 @@ def test_sweep_config_round_trips():
         {"axes": {"field.params.kick": [1e-3, 2e-3]}, "workers": 3, "output": "x.npz"}
     )
     assert SweepConfig.from_dict(sweep.to_dict()) == sweep
+    # the legacy scheduler values select nothing but still parse, so older
+    # sweep files and saved ensembles keep loading
+    for scheduler in ("auto", "serial", "thread", "process"):
+        legacy = SweepConfig.from_dict({"axes": {"scf.seed": [0]}, "scheduler": scheduler})
+        assert legacy.scheduler == scheduler
+        assert SweepConfig.from_dict(legacy.to_dict()) == legacy
 
 
 # ---------------- overrides + expansion --------------------------------------
@@ -135,14 +140,6 @@ def test_load_sweep_file_roundtrip(tmp_path):
     assert sweep0.n_runs == 1
 
 
-def test_resolve_scheduler():
-    assert resolve_scheduler("auto", 1) == "serial"
-    assert resolve_scheduler("auto", 4) == "process"
-    assert resolve_scheduler("thread", 1) == "thread"
-    with pytest.raises(ConfigError, match="unknown scheduler"):
-        resolve_scheduler("mpi", 2)
-
-
 # ---------------- EnsembleResult (synthetic, no SCF) -------------------------
 
 
@@ -199,11 +196,14 @@ def test_stacked_rejects_ragged_shapes():
 
 def test_ensemble_npz_round_trip(tmp_path):
     result = _fake_result(("ok", "error"))
+    # an ensemble saved when the process pool existed still loads
+    result.sweep = SweepConfig.from_dict({**result.sweep.to_dict(), "scheduler": "process"})
     path = result.save_npz(tmp_path / "ens.npz")
     loaded = EnsembleResult.load_npz(path)
     assert len(loaded) == 2
     assert loaded.base_config == result.base_config
     assert loaded.sweep == result.sweep
+    assert loaded.sweep.scheduler == "process"
     assert loaded.runs[0].overrides == {"scf.seed": 0}
     assert loaded.runs[1].status == "error"
     assert loaded.runs[1].error == "ValueError: boom"
@@ -230,15 +230,15 @@ def test_summary_lists_every_run():
     assert len(text.splitlines()) == 2 + len(result.runs)
 
 
-# ---------------- execution (one shared SCF per scheduler path) --------------
+# ---------------- execution (one shared SCF per group) -----------------------
 
 
 @pytest.fixture(scope="module")
 def serial_run():
-    """The shipped absorption sweep executed serially — the reference."""
+    """The shipped absorption sweep on one worker — the reference."""
     base, sweep = load_sweep_file(SWEEP_TOML)
     messages = []
-    result = run_ensemble(base, sweep, workers=1, scheduler="serial", progress=messages.append)
+    result = run_ensemble(base, sweep, workers=1, progress=messages.append)
     return result, messages
 
 
@@ -248,7 +248,7 @@ def test_serial_run_all_ok_and_shares_ground_state(serial_run):
     solves = [m for m in messages if m.startswith("converging ground state")]
     assert len(solves) == 1  # one (system, scf, backend) group -> one SCF for 4 runs
     assert result.stacked("dipole").shape == (4, 5, 3)
-    assert all(r.result is not None for r in result.runs)  # live serial runs keep results
+    assert all(r.result is not None for r in result.runs)  # live runs keep results
 
 
 def test_serial_runs_carry_fft_tallies(serial_run):
@@ -287,23 +287,24 @@ def test_dipole_spectra_shapes_and_kick_normalization(serial_run):
     np.testing.assert_array_equal(omega_m, omega)
 
 
-def test_cli_sweep_process_pool_matches_serial(serial_run, tmp_path, capsys):
+def test_cli_sweep_two_workers_matches_serial(serial_run, tmp_path, capsys):
     """Acceptance path: `repro sweep ... --workers 2` through the real CLI,
-    ensemble npz written, stacked spectra identical to the serial runs."""
+    ensemble npz written, stacked spectra identical to the one-worker runs."""
     serial_result, _ = serial_run
     out_path = tmp_path / "cli_sweep.npz"
     rc = cli_main(["sweep", str(SWEEP_TOML), "--workers", "2", "--output", str(out_path)])
     captured = capsys.readouterr().out
     assert rc == 0
+    assert "| workers 2" in captured
     assert "4/4 runs ok" in captured
     assert out_path.exists()
 
     loaded = EnsembleResult.load_npz(out_path)
     assert [r.status for r in loaded.runs] == ["ok"] * 4
     assert [r.overrides for r in loaded.runs] == [r.overrides for r in serial_result.runs]
-    # the counter-loss fix: process workers' FFT tallies come back with the
-    # results (and survive the npz round trip) instead of dying with the
-    # worker's engine — and match the serial propagation tallies exactly
+    # concurrent workers' FFT tallies come back with the results (and
+    # survive the npz round trip) — and match the one-worker propagation
+    # tallies exactly
     for got, ref in zip(loaded.runs, serial_result.runs):
         assert got.fft is not None
         assert got.fft == ref.fft
@@ -319,14 +320,14 @@ def test_cli_sweep_process_pool_matches_serial(serial_run, tmp_path, capsys):
 def test_thread_pool_matches_serial(serial_run):
     result_serial, _ = serial_run
     base, sweep = load_sweep_file(SWEEP_TOML)
-    result = run_ensemble(base, sweep, workers=2, scheduler="thread")
+    result = run_ensemble(base, sweep, workers=2)
     assert [r.status for r in result.runs] == ["ok"] * 4
     np.testing.assert_allclose(
         result.stacked("dipole"), result_serial.stacked("dipole"), rtol=0.0, atol=1e-12
     )
     # concurrent runs share one engine but each computes through its own
     # CountingBackend view, so every record carries an exact tally that
-    # matches the serial scheduler's
+    # matches the one-worker run's
     for got, ref in zip(result.runs, result_serial.runs):
         assert got.fft is not None
         assert got.fft == ref.fft
@@ -337,9 +338,9 @@ def test_thread_pool_matches_serial(serial_run):
 
 def test_derived_variants_share_engine_behind_private_counter_views():
     """The isolate_counters mechanism must engage even for a prototype
-    that never computed in this process (the thread-pool path, where the
-    group SCF ran on a worker): variants get private counters over ONE
-    shared engine and plan cache, not engines of their own."""
+    that never computed (one restored from a store's ground-state blob):
+    variants get private counters over ONE shared engine and plan cache,
+    not engines of their own."""
     from repro.api import Simulation
     from repro.api.ensemble import _derive_from
     from repro.backend import CountingBackend
@@ -372,9 +373,10 @@ def test_per_run_failures_are_captured_not_fatal():
         # the bad name only surfaces when the run builds its propagator
         {"axes": {"propagation.propagator": ["ptim", "warp-drive"]}}
     )
-    result = run_ensemble(base, sweep)
+    result = run_ensemble(base, sweep, workers=2)
     assert [r.status for r in result.runs] == ["ok", "error"]
     assert "warp-drive" in result.failures[0].error
+    assert result.failures[0].elapsed > 0.0  # timed on the worker, failure included
     assert result.stacked("dipole").shape == (1, 2, 3)  # the good run survived
 
 

@@ -173,22 +173,19 @@ def test_failed_runs_are_requeued(tmp_path, base_config, monkeypatch):
 
 
 def test_store_backed_sweep_on_pool_schedulers(tmp_path, base_config):
-    """Thread and process schedulers persist full runs (parent-side writes)."""
+    """Two pool workers persist full runs (writes stay in the calling thread)."""
     sweep = SweepConfig.from_dict({"axes": {"field.params.kick": [0.001, 0.002]}})
-    for mode in ("thread", "process"):
-        store_dir = tmp_path / mode
-        result = run_ensemble(
-            base_config, sweep, workers=2, scheduler=mode, store=store_dir
-        )
-        assert all(r.ok for r in result.runs)
-        store = ResultStore.ensure(store_dir)
-        runs = store.query(status="ok")
-        assert len(runs) == 2
-        for run in runs:
-            back = store.load_result(run.run_id)  # state.npz present + parses
-            assert back.final_state.phi.size > 0
-            assert back.fft is not None and back.fft.transforms > 0
-        store.close()
+    store_dir = tmp_path / "study"
+    result = run_ensemble(base_config, sweep, workers=2, store=store_dir)
+    assert all(r.ok for r in result.runs)
+    store = ResultStore.ensure(store_dir)
+    runs = store.query(status="ok")
+    assert len(runs) == 2
+    for run in runs:
+        back = store.load_result(run.run_id)  # state.npz present + parses
+        assert back.final_state.phi.size > 0
+        assert back.fft is not None and back.fft.transforms > 0
+    store.close()
 
 
 def test_cli_sweep_store_resume(tmp_path, capsys):
